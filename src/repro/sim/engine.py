@@ -72,23 +72,22 @@ class _Event:
 
 
 #: Valid workload execution modes (see :attr:`Workload.exec_mode`):
-#: ``vector`` is the fully array-native pipeline, ``batch`` the chunked
-#: per-packet-planned drain, ``scalar`` the per-packet reference loop.
-EXEC_MODES = ("vector", "batch", "scalar")
+#: ``vector`` is the array-native fast path (needs an LLC backend that
+#: can snapshot), ``scalar`` the per-access oracle loop.
+EXEC_MODES = ("vector", "scalar")
 
 
 class Simulation:
     """Builds and runs one multi-tenant scenario on a platform.
 
-    ``exec_mode`` selects how workloads execute each sub-quantum; all
+    ``exec_mode`` selects how workloads execute each sub-quantum; both
     modes simulate the same machine and are kept equivalent by the
-    engine-level equivalence suite (``tests/test_engine_batch_equiv``).
+    engine-level equivalence suite (``tests/test_engine_equiv``).  It
+    may be reassigned before :meth:`run`, which validates it.
     """
 
     def __init__(self, platform: Platform, *, seed: int = 2021,
                  exec_mode: str = "vector") -> None:
-        if exec_mode not in EXEC_MODES:
-            raise ValueError(f"exec_mode must be one of {EXEC_MODES}")
         self.exec_mode = exec_mode
         self.platform = platform
         self.bindings: "list[TenantBinding]" = []
@@ -162,9 +161,19 @@ class Simulation:
     # ------------------------------------------------------------------
     def run(self, duration_s: float) -> MetricsRecorder:
         """Advance the simulation by ``duration_s`` simulated seconds."""
+        mode = self.exec_mode
+        if mode not in EXEC_MODES:
+            raise ValueError(
+                f"exec_mode {mode!r} is not one of {EXEC_MODES}; use "
+                f"exec_mode='scalar' for the per-access oracle")
+        if mode == "vector" and not self.platform.llc.can_snapshot:
+            raise ValueError(
+                "exec_mode='vector' needs an LLC backend that can snapshot "
+                "(llc_backend='array'); use exec_mode='scalar' for the "
+                "oracle on the scalar backend")
         spec = self.platform.spec
         for binding in self.bindings:
-            binding.workload.exec_mode = self.exec_mode
+            binding.workload.exec_mode = mode
         if self.now == 0.0:
             for controller in self.controllers:
                 controller.on_start(0.0)

@@ -149,22 +149,17 @@ class TestBatchEquivalence:
 
 class TestEngineBackendEquivalence:
     def test_quickstart_style_metrics_identical(self):
-        """A small two-tenant simulation produces identical metrics on
-        both backends (the engine-level acceptance criterion)."""
+        """A small two-tenant simulation records identical quanta on the
+        oracle (scalar exec, scalar backend) and the fast path (vector
+        exec, array backend) — every field of every record."""
         from repro.experiments.common import leaky_dma_scenario
         from repro.sim.config import TINY_PLATFORM
 
-        def fingerprint(backend):
+        def records(exec_mode, backend):
             spec = dataclasses.replace(TINY_PLATFORM, llc_backend=backend)
             scen = leaky_dma_scenario(packet_size=512, spec=spec)
+            scen.sim.exec_mode = exec_mode
             metrics = scen.sim.run(0.6)
-            return [(r.time, r.ddio_hits, r.ddio_misses,
-                     r.mem_read_bytes, r.mem_write_bytes,
-                     tuple(sorted((name, snap.ipc, snap.llc_references,
-                                   snap.llc_misses)
-                                  for name, snap in r.tenants.items())),
-                     tuple(sorted(r.vf_delivered.items())),
-                     tuple(sorted(r.vf_dropped.items())))
-                    for r in metrics.records]
+            return [dataclasses.asdict(r) for r in metrics.records]
 
-        assert fingerprint("scalar") == fingerprint("array")
+        assert records("scalar", "scalar") == records("vector", "array")
