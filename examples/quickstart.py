@@ -13,7 +13,7 @@ This is the smallest end-to-end use of the library:
 Run:  python examples/quickstart.py
 """
 
-from repro.core import ControlPlane, IATDaemon, IATParams
+from repro.core import ControlPlane, ControllerDaemon, create_policy
 from repro.net import TrafficSpec
 from repro.sim import Platform, Simulation, XEON_6140
 from repro.tenants import Priority, Tenant
@@ -42,10 +42,11 @@ def main() -> None:
     sim.attach_traffic(nic, vf, TrafficSpec.line_rate(
         40.0, 1500, scale=platform.spec.time_scale))
 
-    # 4. The daemon, speaking pqos + MSRs through the control plane.
+    # 4. The daemon, speaking pqos + MSRs through the control plane and
+    #    driving the registered IAT policy at Table II defaults.
     control = ControlPlane(platform.pqos, sim.tenant_set(),
                            time_scale=platform.spec.time_scale)
-    daemon = IATDaemon(control, IATParams())
+    daemon = ControllerDaemon(control, create_policy("iat"))
     sim.add_controller(daemon)
 
     metrics = sim.run(10.0)

@@ -388,6 +388,7 @@ def _cmd_trace(args) -> int:
 
 def _daemon_summary(daemon) -> str:
     """One-line exit summary of a daemon run."""
+    policy = daemon.policy
     history = daemon.history
     changes = sum(1 for a, b in zip(history, history[1:])
                   if a.state is not b.state)
@@ -396,8 +397,8 @@ def _daemon_summary(daemon) -> str:
         masks = {group: f"0x{mask:x}" for group, mask
                  in sorted(daemon.layout.group_masks.items())}
     return (f"daemon: {len(history)} iterations, {changes} state changes, "
-            f"final state {daemon.state.value}, "
-            f"ddio_ways={daemon.allocator.ddio_ways}, masks={masks}")
+            f"final state {policy.state.value}, "
+            f"ddio_ways={policy.allocator.ddio_ways}, masks={masks}")
 
 
 def _cmd_daemon(args) -> int:
@@ -423,12 +424,12 @@ def _cmd_daemon(args) -> int:
 
 
 def _run_daemon(args) -> int:
-    from .core import ControlPlane, IATDaemon, IATParams
+    from .core import ControlPlane, ControllerDaemon, create_policy
     from .tenants.registry import TenantRegistry
 
     registry = TenantRegistry(args.tenants)
     tenants = registry.load()
-    params = IATParams(interval_s=args.interval)
+    params = {"interval_s": args.interval}
 
     if args.backend == "linux":
         from .perf.hw import HwPqos
@@ -437,7 +438,7 @@ def _run_daemon(args) -> int:
         pqos = HwPqos(msr_of=msrs)
         control = ControlPlane(pqos, tenants, time_scale=1.0,
                                registry=registry)
-        daemon = IATDaemon(control, params)
+        daemon = ControllerDaemon(control, create_policy("iat", params))
         daemon.on_start(0.0)
         import time as _time
         print(f"IAT daemon on real MSRs, interval {args.interval}s; ^C "
@@ -475,7 +476,7 @@ def _run_daemon(args) -> int:
             sim.add_tenant(tenant, XMem(tenant.name, 8 << 20))
     control = ControlPlane(platform.pqos, sim.tenant_set(),
                            time_scale=platform.spec.time_scale)
-    daemon = IATDaemon(control, params)
+    daemon = ControllerDaemon(control, create_policy("iat", params))
     sim.add_controller(daemon)
     sim.run(args.duration)
     for entry in daemon.history:

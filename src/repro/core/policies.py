@@ -1,48 +1,29 @@
 """The policy plane: the registry, the `Policy` protocol, and the zoo.
 
-Two generations of controller live here:
-
-**The policy zoo** (new) — decorator-registered strategies driven by a
-generic :class:`~repro.core.daemon.ControllerDaemon`.  Every policy
-implements the :class:`Policy` protocol (``bind`` / ``make_monitor`` /
-``on_init`` / ``pre_observe`` / ``decide``), plans
+Every controller that adapts the LLC at run time is a registered policy
+driven by a generic :class:`~repro.core.daemon.ControllerDaemon`, built
+as ``ControllerDaemon(control, create_policy(name, params))``.  A
+policy implements the :class:`Policy` protocol (``bind`` /
+``make_monitor`` / ``on_init`` / ``pre_observe`` / ``decide``), plans
 :class:`~repro.core.allocator.Layout` objects, and actuates them
-through :meth:`ControllerDaemon.apply_layout` (which delegates mask
-programming to :meth:`ControlPlane.apply_layout`).  Registered today:
+through :meth:`ControllerDaemon.apply_layout`.  Registered today:
 
 * ``iat`` — :class:`IATPolicy`, the paper's six-step FSM controller
-  (all of Sec. IV), bit-identical to the pre-refactor monolith;
-* ``static`` / ``core-only`` / ``io-iso`` — the Sec. VI-B comparison
-  policies, adapted into the registry via thin wrappers;
+  (all of Sec. IV);
+* ``static``, ``core-only``, ``io-iso`` — the Sec. VI-B baselines
+  (:class:`StaticPlanPolicy`, :class:`CoreOnlyPolicy`,
+  :class:`IOIsoPolicy`);
 * ``ioca`` — :class:`IOCAPolicy`, an IOCA-style I/O-aware manager that
   sizes the DDIO partition from DDIO/PCIe pressure (arXiv:2007.04552);
 * ``lfoc`` — :class:`LFOCPolicy`, an LFOC-style fairness-clustering
   policy driven by per-tenant slowdowns (arXiv:2402.07578).
 
-Use :func:`create_policy(name, params)` to construct one from a plain
-params dict (the ``repro compare`` harness does exactly this), and
-:func:`available_policies` to enumerate the registry.
-
-**Legacy engine-driven controllers** (below) — the original Sec. VI-B
-comparison classes, still usable directly as engine controllers:
-
-* **StaticPolicy** (baseline) — one allocation at start-up, never
-  revisited.  Figs. 12-14 randomize the initial placement ("the LLC
-  ways allocation ... randomly shuffled"), hence ``shuffle_seed``: a
-  cache-hungry tenant may or may not land on the DDIO ways, producing
-  the wide min-max whiskers of the baseline bars.
-* **CoreOnlyPolicy** — dynamic, miss-driven way allocation *without*
-  I/O awareness (the paper emulates this by "disabling I/O Demand state
-  and LLC shuffling").  It happily treats the DDIO ways as free space,
-  which is the Latent Contender problem in action.
-* **IOIsoPolicy** — Core-only plus a hard exclusion of the DDIO ways
-  from the core pool ([14, 69]'s approach).  When demand exceeds the
-  shrunken pool, groups are clamped against its top and *share* ways
-  ("the PC containers have to share 7-2=5 ways").
-
-Neither reactive policy ever touches the DDIO mask; they re-read its
-width every interval so external changes (the Fig. 10 script raises
-DDIO from two to four ways at t=15 s) are respected.
+:func:`create_policy` constructs one from a plain params dict (the
+``repro compare`` harness does exactly this) and
+:func:`available_policies` enumerates the registry.  The static
+placement itself is :func:`static_layout`; :class:`StaticPolicy` also
+programs it as a daemon-less engine controller, which the figure
+harnesses' ``"baseline"`` runs use.
 """
 
 from __future__ import annotations
@@ -243,10 +224,23 @@ def create_policy(name: str, params: "dict | None" = None):
     return get_policy(name).cls.from_params(params)
 
 
+def _prof_monitor(policy: PolicyBase) -> ProfMonitor:
+    """``make_monitor`` for policies that poll a :class:`ProfMonitor`."""
+    control = policy.control
+    return ProfMonitor(control.pqos, control.tenants, policy.params,
+                       time_scale=control.time_scale)
+
+
 def group_floor(tenants: TenantSet, group: str) -> int:
     """The way count a group may never be shrunk below."""
     members = tenants.group_members(group)
     return max(max(1, t.initial_ways) for t in members)
+
+
+def io_groups(tenants: TenantSet) -> "list[str]":
+    """Groups holding an I/O tenant or the software stack, in order."""
+    return [g for g in tenants.group_names()
+            if any(t.is_io or t.is_stack for t in tenants.group_members(g))]
 
 
 # ======================================================================
@@ -258,10 +252,14 @@ def group_floor(tenants: TenantSet, group: str) -> int:
 class IATPolicy(PolicyBase):
     """The paper's six-step decision logic behind the Policy protocol.
 
-    Moved verbatim from the pre-refactor ``IATDaemon`` monolith; the
+    Moved verbatim from the pre-refactor monolithic daemon; the
     equivalence suite pins the iteration history (and the pqos call and
     trace event order underneath it) field-for-field against goldens
-    captured before the split.
+    captured before the split.  The feature flags reproduce the paper's
+    ablations: ``manage_ddio=False`` freezes the DDIO way count
+    (Sec. VI-B footnote 3), ``manage_tenant_ways=False`` keeps only the
+    shuffling (Sec. VI-C), and ``shuffle=False`` keeps only the way
+    counts.
     """
 
     params_cls = IATParams
@@ -282,10 +280,7 @@ class IATPolicy(PolicyBase):
         self._growing: "set[str]" = set()
 
     # ------------------------------------------------------------------
-    def make_monitor(self) -> ProfMonitor:
-        control = self.control
-        return ProfMonitor(control.pqos, control.tenants, self.params,
-                           time_scale=control.time_scale)
+    make_monitor = _prof_monitor
 
     def on_init(self, now: float) -> None:
         control = self.control
@@ -538,24 +533,17 @@ class IATPolicy(PolicyBase):
         self.daemon.apply_layout(layout, set_ddio=self.manage_ddio)
 
 
-def _initial_order(tenants: TenantSet,
-                   shuffle_seed: "int | None") -> "list[str]":
-    order = tenants.group_names()
-    if shuffle_seed is not None:
-        rng = np.random.default_rng(shuffle_seed)
-        order = [order[i] for i in rng.permutation(len(order))]
-    return order
+# ======================================================================
+# The static baseline
+# ======================================================================
 
+def static_layout(control: ControlPlane, *,
+                  explicit_masks: "dict[str, int] | None" = None,
+                  shuffle_seed: "int | None" = None) -> Layout:
+    """The paper's baseline placement, planned once at start-up.
 
-def _apply_group_masks(control: ControlPlane, layout: Layout,
-                       previous: "Layout | None") -> None:
-    """Program per-tenant mask deltas, leaving the DDIO mask alone."""
-    control.apply_layout(layout, previous, set_ddio=False)
-
-
-class StaticPolicy:
-    """Fixed allocation applied once at start-up (the paper's baseline).
-
+    ``explicit_masks`` pins every group's mask.  Otherwise each group
+    gets its floor (:func:`group_floor`) of ways, packed bottom-up.
     With ``shuffle_seed`` set, the placement follows the paper's
     Sec. VI-C protocol: I/O groups (the networking containers and the
     software stack) are packed at the bottom ways, away from DDIO, while
@@ -563,6 +551,47 @@ class StaticPolicy:
     ways scattered randomly between them — so, across seeds, a
     cache-hungry container sometimes lands on the DDIO ways (the wide
     baseline whiskers of Figs. 12-14) and sometimes does not.
+    """
+    pqos = control.pqos
+    tenants = control.tenants
+    num_ways = pqos.num_ways
+    ddio_ways = pqos.ddio_way_count()
+    if explicit_masks is not None:
+        return Layout(group_masks=dict(explicit_masks),
+                      ddio_mask=pqos.ddio_get_mask())
+    if shuffle_seed is None:
+        counts = [(g, group_floor(tenants, g)) for g in tenants.group_names()]
+        return plan_layout(num_ways, ddio_ways, counts)
+    rng = np.random.default_rng(shuffle_seed)
+    bottom = io_groups(tenants)
+    other = [g for g in tenants.group_names() if g not in bottom]
+    other = [other[i] for i in rng.permutation(len(other))]
+    counts = [(g, group_floor(tenants, g)) for g in bottom + other]
+    free = max(0, num_ways - sum(c for _, c in counts))
+    # Scatter the idle ways as gaps between the non-I/O groups.
+    gaps = (rng.multinomial(free, [1.0 / (len(other) + 1)]
+                            * (len(other) + 1))
+            if free and other else [0] * (len(other) + 1))
+    gap_iter = iter(gaps)
+    masks: "dict[str, int]" = {}
+    cursor = 0
+    for group, count in counts:
+        if group in other:
+            cursor += int(next(gap_iter))
+        start = min(cursor, num_ways - count)
+        masks[group] = ((1 << count) - 1) << start
+        cursor = start + count
+    return Layout(group_masks=masks,
+                  ddio_mask=ways_to_mask(num_ways - ddio_ways, ddio_ways))
+
+
+class StaticPolicy:
+    """The static baseline as a daemon-less engine controller.
+
+    Programs :func:`static_layout` once at start-up and never again.
+    Unlike the registered ``static`` policy it keeps no iteration
+    history, so runs that use it (the figure harnesses' ``"baseline"``
+    and ``"baseline-rand"``) record only the simulation's own metrics.
     """
 
     def __init__(self, control: ControlPlane, *,
@@ -574,99 +603,78 @@ class StaticPolicy:
         self.interval_s = 1e9  # effectively never re-invoked
         self.layout: "Layout | None" = None
 
-    def _group_counts(self, groups: "list[str]") -> "list[tuple[str, int]]":
-        tenants = self.control.tenants
-        return [(g, max(max(1, t.initial_ways)
-                        for t in tenants.group_members(g)))
-                for g in groups]
-
-    def _random_layout(self, ddio_ways: int) -> Layout:
-        tenants = self.control.tenants
-        num_ways = self.control.pqos.num_ways
-        rng = np.random.default_rng(self.shuffle_seed)
-        io_groups = [g for g in tenants.group_names()
-                     if any(t.is_io or t.is_stack
-                            for t in tenants.group_members(g))]
-        other = [g for g in tenants.group_names() if g not in io_groups]
-        other = [other[i] for i in rng.permutation(len(other))]
-        counts = self._group_counts(io_groups + other)
-        total = sum(c for _, c in counts)
-        free = max(0, num_ways - total)
-        # Scatter the idle ways as gaps between the non-I/O groups.
-        gaps = (rng.multinomial(free, [1.0 / (len(other) + 1)]
-                                * (len(other) + 1))
-                if free and other else [0] * (len(other) + 1))
-        masks: "dict[str, int]" = {}
-        cursor = 0
-        gap_idx = 0
-        for group, count in counts:
-            if group in other:
-                cursor += int(gaps[gap_idx])
-                gap_idx += 1
-            start = min(cursor, num_ways - count)
-            masks[group] = ((1 << count) - 1) << start
-            cursor = start + count
-        return Layout(group_masks=masks,
-                      ddio_mask=ways_to_mask(num_ways - ddio_ways,
-                                             ddio_ways))
-
     def on_start(self, now: float) -> None:
-        control = self.control
-        tenants = control.tenants
-        ddio_ways = control.pqos.ddio_way_count()
-        if self.explicit_masks is not None:
-            layout = Layout(group_masks=dict(self.explicit_masks),
-                            ddio_mask=control.pqos.ddio_get_mask())
-        elif self.shuffle_seed is not None:
-            layout = self._random_layout(ddio_ways)
-        else:
-            counts = self._group_counts(tenants.group_names())
-            layout = plan_layout(control.pqos.num_ways, ddio_ways, counts)
-        _apply_group_masks(control, layout, None)
-        self.layout = layout
+        self.layout = static_layout(self.control,
+                                    explicit_masks=self.explicit_masks,
+                                    shuffle_seed=self.shuffle_seed)
+        self.control.apply_layout(self.layout, set_ddio=False)
 
     def on_interval(self, now: float) -> None:
         """Static: nothing to do."""
 
 
-class ReactivePolicy:
-    """Miss-rate driven, I/O-unaware dynamic allocation (dCAT-like)."""
+@register_policy("static", "One-shot static allocation at start-up "
+                           "(the paper's baseline)")
+class StaticPlanPolicy(PolicyBase):
+    """The static baseline behind the Policy protocol."""
+
+    interval_s = 1e9  # effectively never re-invoked
+
+    def __init__(self, *, explicit_masks: "dict[str, int] | None" = None,
+                 shuffle_seed: "int | None" = None) -> None:
+        self.explicit_masks = explicit_masks
+        self.shuffle_seed = shuffle_seed
+
+    def on_init(self, now: float) -> None:
+        self.daemon.apply_layout(
+            static_layout(self.control, explicit_masks=self.explicit_masks,
+                          shuffle_seed=self.shuffle_seed),
+            set_ddio=False)
+
+
+# ======================================================================
+# The reactive baselines: Core-only and I/O-iso
+# ======================================================================
+
+class ReactivePolicy(PolicyBase):
+    """Miss-rate driven, I/O-unaware dynamic allocation (dCAT-like).
+
+    Polls its own per-tenant monitoring groups, grants one way at a time
+    to the group whose miss rate jumped, and reclaims from groups whose
+    references fell well below their peak.  It never touches the DDIO
+    mask but re-reads its width every interval, so external changes
+    (the Fig. 10 script widens DDIO at t=15 s) are respected.  Each
+    interval reports ``"rebalance"`` when it re-programmed masks and
+    ``"none"`` (stable) otherwise.
+    """
 
     #: Miss-rate jump (percentage points) that triggers a way grant.
     GROW_THRESHOLD_PP = 2.0
     #: Relative LLC-reference drop that triggers a reclaim.
     RECLAIM_THRESHOLD = 0.30
+    #: Whether the DDIO ways are excluded from the core pool.
+    io_isolated = False
 
-    def __init__(self, control: ControlPlane,
-                 params: "IATParams | None" = None, *,
-                 io_isolated: bool = False,
-                 shuffle_seed: "int | None" = None) -> None:
-        self.control = control
+    params_cls = IATParams
+
+    def __init__(self, params: "IATParams | None" = None) -> None:
         self.params = params or IATParams()
-        self.io_isolated = io_isolated
-        self.shuffle_seed = shuffle_seed
         self.interval_s = self.params.interval_s
-        self.allocator: "WayAllocator | None" = None
-        self.layout: "Layout | None" = None
-        self._order: "list[str]" = []
         self._prev_miss_rate: "dict[str, float]" = {}
-        self._prev_refs: "dict[str, int]" = {}
         self._peak_refs: "dict[str, int]" = {}
         self._growing: "set[str]" = set()
 
-    # ------------------------------------------------------------------
-    def on_start(self, now: float) -> None:
+    def on_init(self, now: float) -> None:
         control = self.control
         tenants = control.tenants
         self.allocator = WayAllocator.for_tenants(
             control.pqos.num_ways, self.params, tenants)
         self.allocator.ddio_ways = control.pqos.ddio_way_count()
-        self._order = _initial_order(tenants, self.shuffle_seed)
         for tenant in tenants:
             control.pqos.mon_start(f"policy.{tenant.name}", tenant.cores)
         self._apply()
 
-    def on_interval(self, now: float) -> None:
+    def decide(self, now: float, sample: "SystemSample | None") -> Decision:
         control = self.control
         grow_best: "tuple[float, str] | None" = None
         refs_now: "dict[str, int]" = {}
@@ -703,7 +711,9 @@ class ReactivePolicy:
         if changed:
             self._apply()
         self._prev_miss_rate = rate_now
-        self._prev_refs = refs_now
+        return Decision(ChangeKind.POLICY,
+                        "rebalance" if changed else "none",
+                        stable=not changed)
 
     def _grow_into_pool(self, group: str,
                         refs_now: "dict[str, int]") -> bool:
@@ -740,8 +750,7 @@ class ReactivePolicy:
     def _maybe_reclaim(self, refs_now: "dict[str, int]") -> bool:
         tenants = self.control.tenants
         for group, ways in self.allocator.group_ways.items():
-            floor = max(max(1, t.initial_ways)
-                        for t in tenants.group_members(group))
+            floor = group_floor(tenants, group)
             if ways <= floor:
                 continue
             peak = self._peak_refs.get(group, 0)
@@ -761,135 +770,50 @@ class ReactivePolicy:
         alloc = self.allocator
         limit = alloc.num_ways - alloc.ddio_ways
         tenants = self.control.tenants
-
-        def shrink_candidates():
-            # BE groups yield first; PC groups only as a last resort
-            # (the paper's phase-3 I/O-iso: once DDIO takes more ways,
-            # even the PC containers are squeezed down to 1-3 ways).
-            be = [g for g in alloc.group_ways
-                  if tenants.group_priority(g) is Priority.BE]
-            pc = [g for g in alloc.group_ways
-                  if tenants.group_priority(g) is not Priority.BE]
-            be.sort(key=lambda g: -alloc.group_ways[g])
-            pc.sort(key=lambda g: -alloc.group_ways[g])
-            return be + pc
-
-        guard = 0
-        while sum(alloc.group_ways.values()) > limit and guard < 64:
-            guard += 1
-            took = False
-            for group in shrink_candidates():
-                if alloc.group_ways[group] > 1:
-                    alloc.group_ways[group] -= 1
-                    took = True
-                    break
-            if not took:
+        for _ in range(64):
+            if sum(alloc.group_ways.values()) <= limit:
+                break
+            # BE groups yield first, widest first; PC groups only as a
+            # last resort (the paper's phase-3 I/O-iso: once DDIO takes
+            # more ways, even the PC containers are squeezed down to 1-3
+            # ways).
+            donors = sorted(
+                (g for g, ways in alloc.group_ways.items() if ways > 1),
+                key=lambda g: (tenants.group_priority(g) is not Priority.BE,
+                               -alloc.group_ways[g]))
+            if not donors:
                 break  # everyone is at one way already
+            alloc.group_ways[donors[0]] -= 1
 
     def _apply(self) -> None:
         if self.io_isolated:
             self._fit_to_pool()
-        layout = self.allocator.layout(self._order,
+        layout = self.allocator.layout(self.control.tenants.group_names(),
                                        io_isolated=self.io_isolated)
-        _apply_group_masks(self.control, layout, self.layout)
-        self.layout = layout
-
-
-class CoreOnlyPolicy(ReactivePolicy):
-    """Dynamic allocation ignoring DDIO entirely (Sec. VI-B footnote 4)."""
-
-    def __init__(self, control: ControlPlane,
-                 params: "IATParams | None" = None, *,
-                 shuffle_seed: "int | None" = None) -> None:
-        super().__init__(control, params, io_isolated=False,
-                         shuffle_seed=shuffle_seed)
-
-
-class IOIsoPolicy(ReactivePolicy):
-    """Core-only with the DDIO ways excluded from the core pool."""
-
-    def __init__(self, control: ControlPlane,
-                 params: "IATParams | None" = None, *,
-                 shuffle_seed: "int | None" = None) -> None:
-        super().__init__(control, params, io_isolated=True,
-                         shuffle_seed=shuffle_seed)
-
-
-# ======================================================================
-# Registry adapters for the legacy engine-driven controllers
-# ======================================================================
-
-class _ControllerAdapter(PolicyBase):
-    """Hosts a legacy engine-driven controller behind the Policy
-    protocol so it can race in the tournament via ControllerDaemon.
-
-    The inner controller keeps programming masks through the shared
-    :meth:`ControlPlane.apply_layout` path; the adapter mirrors its
-    layout into the daemon afterwards so the iteration log and overlap
-    bookkeeping stay truthful.
-    """
-
-    legacy_cls: "type | None" = None
-
-    def __init__(self, **kwargs) -> None:
-        self._kwargs = kwargs
-        self._inner = None
-
-    def bind(self, daemon: "ControllerDaemon") -> None:
-        super().bind(daemon)
-        self._inner = self.legacy_cls(daemon.control, **self._kwargs)
-        self.interval_s = self._inner.interval_s
-
-    @property
-    def allocator(self) -> "WayAllocator | None":
-        return getattr(self._inner, "allocator", None)
-
-    def on_init(self, now: float) -> None:
-        self._inner.on_start(now)
-        self.daemon.layout = self._inner.layout
-
-    def decide(self, now: float, sample: "SystemSample | None") -> Decision:
-        before = self._inner.layout
-        self._inner.on_interval(now)
-        after = self._inner.layout
-        self.daemon.layout = after
-        changed = after is not before
-        return Decision(ChangeKind.POLICY,
-                        "rebalance" if changed else "none",
-                        stable=not changed)
-
-
-@register_policy("static", "One-shot static allocation at start-up "
-                           "(the paper's baseline)")
-class StaticPlanPolicy(_ControllerAdapter):
-    legacy_cls = StaticPolicy
-
-    def __init__(self, *, explicit_masks: "dict[str, int] | None" = None,
-                 shuffle_seed: "int | None" = None) -> None:
-        super().__init__(explicit_masks=explicit_masks,
-                         shuffle_seed=shuffle_seed)
+        self.daemon.apply_layout(layout, set_ddio=False)
 
 
 @register_policy("core-only", "Reactive miss-driven way allocation, "
                               "I/O-unaware (dCAT-like)")
-class CoreOnlyAdapterPolicy(_ControllerAdapter):
-    legacy_cls = CoreOnlyPolicy
-    params_cls = IATParams
+class CoreOnlyPolicy(ReactivePolicy):
+    """Dynamic allocation ignoring DDIO entirely (Sec. VI-B footnote 4).
 
-    def __init__(self, params: "IATParams | None" = None, *,
-                 shuffle_seed: "int | None" = None) -> None:
-        super().__init__(params=params, shuffle_seed=shuffle_seed)
+    The paper emulates it by "disabling I/O Demand state and LLC
+    shuffling".  It treats the DDIO ways as free space, which is the
+    Latent Contender problem in action.
+    """
 
 
 @register_policy("io-iso", "Reactive allocation with the DDIO ways "
                            "excluded from the core pool")
-class IOIsoAdapterPolicy(_ControllerAdapter):
-    legacy_cls = IOIsoPolicy
-    params_cls = IATParams
+class IOIsoPolicy(ReactivePolicy):
+    """Core-only with the DDIO ways excluded from the core pool.
 
-    def __init__(self, params: "IATParams | None" = None, *,
-                 shuffle_seed: "int | None" = None) -> None:
-        super().__init__(params=params, shuffle_seed=shuffle_seed)
+    [14, 69]'s approach: when demand exceeds the shrunken pool, groups
+    give up ways ("the PC containers have to share 7-2=5 ways").
+    """
+
+    io_isolated = True
 
 
 # ======================================================================
@@ -931,10 +855,7 @@ class IOCAPolicy(PolicyBase):
         self._order: "list[str]" = []
         self._prev_group_rate: "dict[str, float]" = {}
 
-    def make_monitor(self) -> ProfMonitor:
-        control = self.control
-        return ProfMonitor(control.pqos, control.tenants, self.params,
-                           time_scale=control.time_scale)
+    make_monitor = _prof_monitor
 
     def on_init(self, now: float) -> None:
         control = self.control
@@ -943,11 +864,9 @@ class IOCAPolicy(PolicyBase):
             control.pqos.num_ways, self.params, tenants)
         self.allocator.clamp_ddio_min()
         self.state = PolicyState("watch")
-        io_groups = [g for g in tenants.group_names()
-                     if any(t.is_io or t.is_stack
-                            for t in tenants.group_members(g))]
-        self._order = io_groups + [g for g in tenants.group_names()
-                                   if g not in io_groups]
+        bottom = io_groups(tenants)
+        self._order = bottom + [g for g in tenants.group_names()
+                                if g not in bottom]
         self._prev_group_rate = {}
         self._apply()
 
@@ -1051,10 +970,7 @@ class LFOCPolicy(PolicyBase):
         self.tracker = SlowdownTracker()
         self._order: "list[str]" = []
 
-    def make_monitor(self) -> ProfMonitor:
-        control = self.control
-        return ProfMonitor(control.pqos, control.tenants, self.params,
-                           time_scale=control.time_scale)
+    make_monitor = _prof_monitor
 
     def on_init(self, now: float) -> None:
         control = self.control

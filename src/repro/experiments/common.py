@@ -9,18 +9,17 @@ I/O-iso / IAT:
 * ``"baseline"``      — static allocation, default 2-way DDIO.
 * ``"baseline-rand"`` — static allocation at a random placement
   (Figs. 12-14's "randomly shuffled" initial state); needs ``seed``.
-* ``"core-only"``     — I/O-unaware dynamic policy (Fig. 10).
-* ``"io-iso"``        — DDIO ways excluded from the core pool (Fig. 10).
-* ``"iat"``           — the full daemon; feature flags per experiment.
+* any registered policy name — ``"core-only"`` and ``"io-iso"``
+  (Fig. 10), ``"iat"`` (feature flags per experiment), ``"ioca"``,
+  ``"lfoc"``, ``"static"`` — behind a ``ControllerDaemon``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core import (ControllerDaemon, ControlPlane, CoreOnlyPolicy,
-                    IATDaemon, IATParams, IOIsoPolicy, StaticPolicy,
-                    create_policy)
+from ..core import (ControllerDaemon, ControlPlane, StaticPolicy,
+                    available_policies, create_policy)
 from ..net.traffic import TrafficSpec
 from ..pci.nic import Nic, VirtualFunction
 from ..pci.ring import DescRing
@@ -58,42 +57,38 @@ class Scenario:
                             time_scale=self.time_scale)
 
     def attach_controller(self, name: str, *, seed: "int | None" = None,
-                          params: "IATParams | None" = None,
-                          manage_ddio: bool = True,
-                          manage_tenant_ways: bool = True,
-                          shuffle: bool = True) -> object:
-        control = self.control_plane()
-        if name == "baseline":
-            controller = StaticPolicy(control)
-        elif name == "baseline-rand":
-            if seed is None:
+                          **options) -> object:
+        """Attach a controller by the figure harnesses' names.
+
+        ``"baseline"`` and ``"baseline-rand"`` (which needs ``seed``)
+        build the daemon-less :class:`StaticPolicy`.  Any other name is
+        a registered policy, attached by :meth:`attach_policy` with
+        ``options`` as its params dict; an option that does not apply
+        raises :class:`TypeError`.
+        """
+        if name in ("baseline", "baseline-rand"):
+            if name == "baseline-rand" and seed is None:
                 raise ValueError("baseline-rand needs a seed")
-            controller = StaticPolicy(control, shuffle_seed=seed)
-        elif name == "core-only":
-            controller = CoreOnlyPolicy(control, params)
-        elif name == "io-iso":
-            controller = IOIsoPolicy(control, params)
-        elif name == "iat":
-            controller = IATDaemon(control, params,
-                                   manage_ddio=manage_ddio,
-                                   manage_tenant_ways=manage_tenant_ways,
-                                   shuffle=shuffle)
-        else:
+            if options or (name == "baseline" and seed is not None):
+                raise TypeError(f"{name!r} takes no options")
+            controller = StaticPolicy(self.control_plane(),
+                                      shuffle_seed=seed)
+            self.sim.add_controller(controller)
+            self.controller = controller
+            return controller
+        if name not in {info.name for info in available_policies()}:
             raise ValueError(f"unknown controller {name!r}")
-        self.sim.add_controller(controller)
-        self.controller = controller
-        return controller
+        if seed is not None:
+            raise TypeError(f"{name!r} takes no seed")
+        return self.attach_policy(name, options)
 
     def attach_policy(self, name: str,
                       params: "dict | None" = None) -> ControllerDaemon:
-        """Attach any *registered* policy behind a ControllerDaemon.
+        """Attach a registered policy behind a :class:`ControllerDaemon`.
 
-        Where :meth:`attach_controller` wires the figure harnesses'
-        historical controller spellings, this is the registry path the
-        ``repro compare`` tournament uses: ``name`` and ``params`` go
-        through :func:`repro.core.create_policy`, and the resulting
-        policy is driven by a generic daemon (so every policy gets an
-        iteration history and Fig. 15-style timings for free).
+        ``name`` and ``params`` go through :func:`repro.core.create_policy`;
+        the daemon gives every policy an iteration history and Fig.
+        15-style timings.  ``repro compare`` attaches policies here.
         """
         daemon = ControllerDaemon(self.control_plane(),
                                   create_policy(name, params))
@@ -172,14 +167,13 @@ def latent_contender_scenario(*, xmem_ws_bytes: int, overlap_ddio: bool,
         masks["xmem"] = 0b11 << (ways - 2)
     else:
         masks["xmem"] = 0b11 << 2  # dedicated ways 2-3
-    control = ControlPlane(platform.pqos, sim.tenant_set(),
-                           time_scale=platform.spec.time_scale)
-    sim.add_controller(StaticPolicy(control, explicit_masks=masks))
-
     sim.attach_traffic(nic, vf, line_rate(platform, 40.0, packet_size,
                                           n_flows=1_000_000, zipf_theta=0.5))
-    return Scenario(platform, sim, workloads={"l3fwd": fwd, "xmem": xmem},
-                    vfs={"l3fwd-vf": vf}, nics=[nic])
+    scenario = Scenario(platform, sim, workloads={"l3fwd": fwd, "xmem": xmem},
+                        vfs={"l3fwd-vf": vf}, nics=[nic])
+    sim.add_controller(StaticPolicy(scenario.control_plane(),
+                                    explicit_masks=masks))
+    return scenario
 
 
 # ---------------------------------------------------------------------------

@@ -75,10 +75,10 @@ def run_one(n_flows: int, mode: str, *, duration_s: float = 12.0,
     records = steady_window(scenario.sim.metrics, warmup_s)
     seconds = max(1, len(records)) * scenario.platform.spec.quantum_s \
         * scenario.time_scale
-    controller = scenario.controller
-    ways = 2
-    if hasattr(controller, "allocator") and controller.allocator is not None:
-        ways = controller.allocator.group_ways.get("ovs", 2)
+    if mode == "iat":
+        ways = scenario.controller.policy.allocator.group_ways["ovs"]
+    else:  # the static baseline never resizes OVS's initial ways
+        ways = bin(scenario.controller.layout.group_masks["ovs"]).count("1")
     return Fig9Point(
         n_flows=n_flows, mode=mode,
         ovs_ipc=mean_tenant_ipc(records, "ovs"),

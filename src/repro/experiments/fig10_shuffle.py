@@ -39,10 +39,11 @@ class Fig10Point:
     phase2_latency_ns: float
     phase3_throughput: float
     phase3_latency_ns: float
-    #: The controller's per-interval history (IAT only; empty for the
-    #: comparison policies, which keep no iteration log).  Serialized as
-    #: ``IterationLog`` dataclasses — the daemon-equivalence tests pin
-    #: these field-for-field against pre-refactor goldens.
+    #: The controller daemon's per-interval history (IAT, Core-only and
+    #: I/O-iso; empty for the static baseline, which keeps no iteration
+    #: log).  Serialized as ``IterationLog`` dataclasses — the
+    #: daemon-equivalence tests pin IAT's field-for-field against
+    #: pre-refactor goldens.
     daemon_history: list = field(default_factory=list)
 
 

@@ -3,7 +3,8 @@
 Before the tracing subsystem existed the reproduction had two
 disconnected recorders — ``sim.metrics.MetricsRecorder`` (the
 "independent pqos process" sampling every quantum) and
-``IATDaemon.history`` (the daemon's own ``IterationLog``).  Both are now
+``ControllerDaemon.history`` (the daemon's own ``IterationLog``).  Both
+are now
 *views* over the trace: every quantum the engine emits a
 ``metrics/quantum`` instant carrying the full record, and every daemon
 iteration emits a ``daemon/iteration`` instant carrying the full log
@@ -75,11 +76,13 @@ def metrics_from_events(source):
 
 def history_from_events(source) -> list:
     """Rebuild the daemon's ``IterationLog`` list from the
-    ``daemon/iteration`` events — identical to ``IATDaemon.history``."""
+    ``daemon/iteration`` events — identical to the ``history`` of a
+    ``ControllerDaemon`` driving the IAT policy (whose states are FSM
+    :class:`~repro.core.fsm.State` values)."""
     from ..core.daemon import IterationLog
     from ..core.fsm import State
     from ..core.monitor import ChangeKind
-    _require_full_fidelity(source, "IATDaemon.history")
+    _require_full_fidelity(source, "ControllerDaemon.history")
     history = []
     for event in select(source, "daemon", "iteration"):
         args = event.args

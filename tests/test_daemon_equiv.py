@@ -1,7 +1,7 @@
 """Behaviour-preservation contract for the controller-plane refactor.
 
 ``tests/data/daemon_goldens.json`` was captured from the *pre-refactor*
-monolithic ``IATDaemon`` (the Fig. 10/11 harnesses at two seeds each).
+monolithic IAT daemon (the Fig. 10/11 harnesses at two seeds each).
 These tests replay the same harness calls through the refactored stack
 — ``ControllerDaemon`` driving a registry-constructed ``IATPolicy`` —
 and require the iteration history to match field-for-field: same
@@ -57,8 +57,9 @@ def test_fig10_iat_history_matches_pre_refactor_golden(seed):
 
 @pytest.mark.parametrize("seed", SEEDS[:1])
 def test_registry_constructed_iat_matches_shim(seed):
-    """`create_policy("iat") + ControllerDaemon` is the same controller
-    as the `IATDaemon` shim the figure harnesses construct."""
+    """`create_policy("iat") + ControllerDaemon` via `attach_policy` is
+    the same controller the figure harnesses' `attach_controller("iat")`
+    constructs."""
     kwargs = GOLDENS["meta"]["fig11_kwargs"]
 
     def run(attach):

@@ -19,7 +19,7 @@ import dataclasses
 
 import pytest
 
-from repro.core import ControlPlane, IATDaemon, IATParams
+from repro.core import ControlPlane, ControllerDaemon, create_policy
 from repro.experiments.common import leaky_dma_scenario
 from repro.net.traffic import TrafficSpec
 from repro.sim.config import TINY_PLATFORM
@@ -72,7 +72,8 @@ def _run_iat(exec_mode: str, seed: int,
                                             burstiness=0.3))
     control = ControlPlane(platform.pqos, sim.tenant_set(),
                            time_scale=platform.spec.time_scale)
-    daemon = IATDaemon(control, IATParams(interval_s=0.2))
+    daemon = ControllerDaemon(control,
+                              create_policy("iat", {"interval_s": 0.2}))
     sim.add_controller(daemon)
     metrics = sim.run(1.2)
     return _records(metrics), [dataclasses.asdict(h)

@@ -8,11 +8,12 @@ table formatting), not the paper-scale numbers; the benchmarks in
 
 import pytest
 
-from repro.experiments import (fig03_ring_size, fig04_latent_contender,
-                               fig08_leaky_dma, fig09_flow_scaling,
-                               fig10_shuffle, fig11_timeline,
-                               fig12_exec_time, fig13_rocksdb_latency,
-                               fig14_redis_ycsb, fig15_overhead)
+from repro.experiments import (common, fig03_ring_size,
+                               fig04_latent_contender, fig08_leaky_dma,
+                               fig09_flow_scaling, fig10_shuffle,
+                               fig11_timeline, fig12_exec_time,
+                               fig13_rocksdb_latency, fig14_redis_ycsb,
+                               fig15_overhead)
 from repro.experiments.appbench import corun, solo_app_run, solo_net_run
 
 
@@ -60,6 +61,21 @@ class TestFig09:
                                            duration_s=3.0, warmup_s=1.5)
         assert large.ovs_llc_misses_per_s > small.ovs_llc_misses_per_s
         assert large.ovs_ipc < small.ovs_ipc
+
+    def test_iat_reports_the_daemons_final_ovs_ways(self, monkeypatch):
+        built = []
+
+        def capture(**kwargs):
+            scenario = common.leaky_dma_scenario(**kwargs)
+            built.append(scenario)
+            return scenario
+
+        monkeypatch.setattr(fig09_flow_scaling, "leaky_dma_scenario",
+                            capture)
+        point = fig09_flow_scaling.run_one(1_000_000, "iat",
+                                           duration_s=4.0, warmup_s=2.0)
+        history = built[0].controller.history
+        assert point.ovs_ways_final == history[-1].group_ways["ovs"]
 
     def test_format(self):
         p = fig09_flow_scaling.Fig9Point(100, "baseline", 1.0, 1e6, 2)

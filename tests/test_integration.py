@@ -9,7 +9,8 @@ in well under a second of simulated time.
 import pytest
 
 from repro.cache.ddio import ddio_mask_for_ways
-from repro.core import ControlPlane, IATDaemon, IATParams, StaticPolicy
+from repro.core import (ControlPlane, ControllerDaemon, IATParams,
+                        StaticPolicy, create_policy)
 from repro.net.traffic import TrafficSpec
 from repro.sim.config import TINY_PLATFORM, PlatformSpec
 from repro.sim.engine import Simulation
@@ -121,7 +122,8 @@ class TestDaemonEndToEnd:
                                time_scale=platform.spec.time_scale)
         params = IATParams(interval_s=0.2,
                            ddio_ways_max=6)
-        daemon = IATDaemon(control, params)
+        daemon = ControllerDaemon(control,
+                                  create_policy("iat", {"params": params}))
         sim.add_controller(daemon)
         return platform, sim, daemon
 
@@ -129,7 +131,7 @@ class TestDaemonEndToEnd:
         platform, sim, daemon = self._daemon_sim(ring_entries=64)
         sim.run(4.0)
         ways_seen = {h.ddio_ways for h in daemon.history}
-        assert max(ways_seen) > daemon.params.ddio_ways_min
+        assert max(ways_seen) > daemon.policy.params.ddio_ways_min
         states = {h.state for h in daemon.history}
         from repro.core.fsm import State
         assert State.IO_DEMAND in states
@@ -138,7 +140,8 @@ class TestDaemonEndToEnd:
         platform, sim, daemon = self._daemon_sim(ring_entries=8,
                                                  packet_size=64, pps=200.0)
         sim.run(3.0)
-        assert daemon.allocator.ddio_ways == daemon.params.ddio_ways_min
+        policy = daemon.policy
+        assert policy.allocator.ddio_ways == policy.params.ddio_ways_min
 
     def test_daemon_masks_stay_legal(self):
         platform, sim, daemon = self._daemon_sim(ring_entries=64)

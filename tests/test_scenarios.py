@@ -135,3 +135,8 @@ class TestNfvScenario:
         scenario = nfv_scenario(app="gcc", spec=SMALL)
         with pytest.raises(ValueError):
             scenario.attach_controller("quantum-annealer")
+
+    def test_attach_rejects_inapplicable_option(self):
+        scenario = nfv_scenario(app="gcc", spec=SMALL)
+        with pytest.raises(TypeError, match="shuffle"):
+            scenario.attach_controller("core-only", shuffle=False)
