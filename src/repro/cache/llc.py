@@ -579,6 +579,22 @@ class SlicedLLC:
                               alloc_mask, mask, write, owner, allocate,
                               out, row_tags=row_tags)
             return out
+        # Distinct lines that all miss under one mask and owner (a
+        # warm-up prefill, a DDIO burst into cold buffers): per-set FIFO
+        # in closed form instead of one rank round per chain link.
+        if (allocate is True and not isinstance(alloc_mask, np.ndarray)
+                and alloc_mask and not isinstance(owner, np.ndarray)
+                and not hit0.any()):
+            stag = np.sort(tag)
+            repeats = bool((stag[1:] == stag[:-1]).any())
+            del stag
+            if not repeats:
+                # The (n, ways) snapshot rows are dead here; free them
+                # before the closed form allocates its own temporaries.
+                del row_tags, eq
+                self._apply_all_miss(index, tag, clk, alloc_mask, write,
+                                     owner, out)
+                return out
         sel0 = np.flatnonzero(first)
         self._apply_round(sel0, index[sel0], way0[sel0],
                           hit0[sel0], tag, clk, alloc_mask, mask, write,
@@ -655,6 +671,108 @@ class SlicedLLC:
             rank = rank[keep]
             r += 1
         return out
+
+    def _apply_all_miss(self, index, tag, clk, alloc_mask, write, owner,
+                        out) -> None:
+        """Closed form for a batch of distinct lines that all miss.
+
+        With one way mask, one owner and no hits, every access fills
+        and LRU degenerates to FIFO through each set's entry victim
+        order: the allowed invalid ways (lowest way first), then the
+        allowed valid ways by stamp (every batch fill is newer than
+        every resident line).  The ``r``-th access to a set fills
+        ``order[r % a]`` for ``a`` allowed ways; it evicts the
+        pre-batch cell when ``r < a`` and otherwise the line of the
+        set's access ``r - a``.  Only each set's last ``a`` accesses
+        survive, so only they are written.
+        """
+        ways = self._nways
+        n = index.shape[0]
+        # Stable radix sort on the narrowest set-id dtype: an int64
+        # stable sort is ~10x slower on a full-cache prefill batch.
+        narrow = index.astype(np.min_scalar_type(self.geometry.total_sets
+                                                 - 1))
+        ro = np.argsort(narrow, kind="stable")
+        si = narrow[ro]
+        del narrow
+        newset = np.empty(n, dtype=bool)
+        newset[0] = True
+        np.not_equal(si[1:], si[:-1], out=newset[1:])
+        starts = np.flatnonzero(newset)
+        sets = si[starts].astype(np.int64)
+        del si, newset
+        counts = np.diff(starts, append=n)
+        grp = np.repeat(np.arange(starts.shape[0]), counts)
+        rank = np.arange(n) - starts[grp]
+        _, _, aw = self._allowed_row(alloc_mask)
+        a = len(aw)
+        aw = np.asarray(aw, dtype=np.int64)
+        # Entry victim order per touched set, as flat slots (u, a): the
+        # stable sort keeps the scalar scan's lowest-way tie-break.
+        cells = sets[:, None] * ways + aw
+        key = np.where(self._tags_flat[cells] == EMPTY, _STAMP_LO + aw,
+                       self._stamp_flat[cells])
+        cells = np.take_along_axis(cells, key.argsort(axis=1, kind="stable"),
+                                   axis=1).reshape(-1)
+        del key
+        slot = cells[grp * a + rank % a]
+        pre = rank < a
+        last = rank + a >= counts[grp]
+        del grp, rank, cells
+        # Victims: pre-batch cells for each set's first ``a`` accesses,
+        # the set's own access ``a`` places back for the rest.
+        pslot = slot[pre]
+        pev = self._tags_flat[pslot] != EMPTY
+        pwb = pev & self._dirty_flat[pslot]
+        pown = self._owner_flat[pslot]
+        evicted = np.ones(n, dtype=bool)
+        evicted[pre] = pev
+        post = np.flatnonzero(~pre)
+        writeback = np.empty(n, dtype=bool)
+        writeback[pre] = pwb
+        if isinstance(write, np.ndarray):
+            writeback[post] = write[ro[post - a]]
+        else:
+            writeback[post] = write
+        victim_owner = np.full(n, owner, dtype=np.int64)
+        victim_owner[pre] = np.where(pev, pown, NO_VICTIM)
+        out.fill[:] = True
+        out.evicted[ro] = evicted
+        out.writeback[ro] = writeback
+        out.victim_owner[ro] = victim_owner
+        del evicted, victim_owner
+        n_post = post.shape[0]
+        self.stat_fills += n
+        self.stat_evictions += n_post + int(np.count_nonzero(pev))
+        self.stat_writebacks += int(np.count_nonzero(writeback))
+        self._valid += pev.shape[0] - int(np.count_nonzero(pev))
+        # Every FIFO eviction takes the batch owner's own line, so only
+        # the pre-batch victims move occupancy between owners.
+        self._occ_update(owner, n - n_post, pown[pev])
+        wslot = slot[last]
+        wpos = ro[last]
+        journal = self._journal
+        if journal is not None:
+            journal.append((_J_FILL, wslot, self._tags_flat[wslot],
+                            self._stamp_flat[wslot], self._dirty_flat[wslot],
+                            self._owner_flat[wslot]))
+        self._tags_flat[wslot] = tag[wpos]
+        self._stamp_flat[wslot] = clk[wpos]
+        self._dirty_flat[wslot] = _pick(write, wpos)
+        self._owner_flat[wslot] = owner
+
+    def _allowed_row(self, a0: int) -> tuple:
+        """Cached ``(allowed, dis_row, ways)`` rows of a uniform mask:
+        the (ways,) allowed-way row, disallowed ways as an OR-able
+        sentinel row (stamps are non-negative, so ``stamp | _STAMP_HI``
+        always exceeds every allowed key), and the allowed way ids."""
+        cached = self._allowed_rows.get(a0)
+        if cached is None:
+            allowed = (a0 >> self._way_range) & 1 != 0
+            cached = (allowed, np.where(allowed, 0, _STAMP_HI),
+                      tuple(int(w) for w in np.flatnonzero(allowed)))
+            self._allowed_rows[a0] = cached
+        return cached
 
     def _set_dirty(self, slot, write) -> None:
         """Mark ``slot`` cells dirty where ``write`` (scalar-aware)."""
@@ -808,16 +926,7 @@ class SlicedLLC:
                 self._raise_mask_error(_pick(raw_mask, miss_sel))
             # (ways,)-shaped row; ufunc broadcasting against the
             # (k, ways) stamps below is free.
-            cached = self._allowed_rows.get(a0)
-            if cached is None:
-                allowed = (a0 >> self._way_range) & 1 != 0
-                # Disallowed ways as an OR-able sentinel row: stamps are
-                # non-negative, so ``stamp | _STAMP_HI`` always exceeds
-                # every allowed key (which stays below the sentinel bit).
-                cached = (allowed, np.where(allowed, 0, _STAMP_HI),
-                          tuple(int(w) for w in np.flatnonzero(allowed)))
-                self._allowed_rows[a0] = cached
-            allowed, dis_row, aw = cached
+            allowed, dis_row, aw = self._allowed_row(a0)
         else:
             allowed = (amask[:, None] >> self._way_range) & 1 != 0
             dis_row = aw = None

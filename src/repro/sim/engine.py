@@ -105,8 +105,10 @@ class Simulation:
         self._llc_stats_last: "dict[str, int]" = {}
         self._quantum_seq = 0
         # Chunk/speculation accounting: baseline of the process-wide
-        # ENGINE_STATS so per-quantum deltas belong to this simulation.
-        self._engine_last = ENGINE_STATS.snapshot()
+        # ENGINE_STATS, re-taken at the top of every :meth:`run` so
+        # per-quantum deltas belong to this simulation even when others
+        # run between its construction and its run.
+        self._engine_last: "dict | None" = None
         self._engine_delta: "dict | None" = None
         # Fairness export: per-tenant slowdown estimates fed to the
         # metrics registry each quantum (LFOC-style, peak-IPC proxy).
@@ -172,6 +174,7 @@ class Simulation:
                 "(llc_backend='array'); use exec_mode='scalar' for the "
                 "oracle on the scalar backend")
         spec = self.platform.spec
+        self._engine_last = ENGINE_STATS.snapshot()
         for binding in self.bindings:
             binding.workload.exec_mode = mode
         if self.now == 0.0:

@@ -80,8 +80,8 @@ class CorePort:
     def dram_cycles(self) -> float:
         """Current per-miss DRAM penalty (refreshed by ``begin_quantum``).
 
-        The budget-guarded vector paths of X-Mem and RocksDB use this to
-        compute worst-case cycle bounds for chunk admission.
+        The budget-guarded vector paths of X-Mem, SPEC and RocksDB use
+        this to compute worst-case cycle bounds for chunk admission.
         """
         return self._dram_cycles
 

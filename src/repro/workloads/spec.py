@@ -18,7 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .base import CorePort, L2_HIT_CYCLES, Workload
+import numpy as np
+
+from .base import (CorePort, L2_HIT_CYCLES, LLC_HIT_CYCLES, Workload,
+                   seq_accumulate)
 from .streams import sequential_lines, uniform_lines
 
 _BATCH = 256
@@ -100,11 +103,13 @@ class SpecWorkload(Workload):
                              prof.working_set_bytes, count - half)
         seq, self._cursor = sequential_lines(
             self.region_base, prof.working_set_bytes, self._cursor, half)
-        import numpy as np
         return np.concatenate([rand, seq])
 
     def run_core(self, port: CorePort, budget_cycles: float,
                  now: float) -> None:
+        if self.exec_mode == "vector":
+            self._run_core_vector(port, budget_cycles)
+            return
         prof = self.profile
         used = 0.0
         accesses = 0
@@ -128,6 +133,54 @@ class SpecWorkload(Workload):
                 accesses += 1
                 if used >= budget_cycles:
                     break
+        instructions = accesses * prof.instructions_per_access
+        self.instructions_retired += instructions
+        port.charge(instructions, used)
+
+    def _run_core_vector(self, port: CorePort, budget_cycles: float) -> None:
+        """Batched twin of the scalar loop: the same draws per 256
+        accesses, LLC order and left-to-right ``used`` sum, with X-Mem's
+        budget-guarded segments.  A segment holds only accesses that
+        start below the budget even if every one costs the worst case,
+        so its LLC lines go out as one batch; the budget tail, where
+        one access may cross the budget, runs line by line."""
+        prof = self.profile
+        mlp = prof.mlp
+        used = 0.0
+        accesses = 0
+        p_l2 = (0.0 if prof.pattern == "stream"
+                else self.l2_hit_prob(prof.working_set_bytes))
+        compute = prof.instructions_per_access * prof.base_cpi
+        worst = compute + max(L2_HIT_CYCLES,
+                              (LLC_HIT_CYCLES + port.dram_cycles) / mlp)
+        while used < budget_cycles:
+            addrs = self._addresses(_BATCH)
+            l2_hits = self.rng.random(_BATCH) < p_l2
+            writes = self.rng.random(_BATCH) >= prof.read_fraction
+            start = 0
+            while start < _BATCH and used < budget_cycles:
+                safe = int((budget_cycles - used) // worst)
+                if safe < 1:
+                    if l2_hits[start]:
+                        latency = L2_HIT_CYCLES
+                    else:
+                        latency = port.access(int(addrs[start]),
+                                              write=bool(writes[start]),
+                                              mlp=mlp)
+                    used += compute + latency
+                    accesses += 1
+                    start += 1
+                    continue
+                stop = min(_BATCH, start + safe)
+                llc = ~l2_hits[start:stop]
+                cost = np.full(stop - start, compute + L2_HIT_CYCLES)
+                if llc.any():
+                    cost[llc] = compute + port.access_batch(
+                        addrs[start:stop][llc],
+                        write=writes[start:stop][llc], mlp=mlp)
+                used = seq_accumulate(used, cost)
+                accesses += stop - start
+                start = stop
         instructions = accesses * prof.instructions_per_access
         self.instructions_retired += instructions
         port.charge(instructions, used)

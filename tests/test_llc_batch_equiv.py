@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.cache.geometry import TINY_LLC
-from repro.cache.llc import DDIO_OWNER, SlicedLLC
+from repro.cache.llc import DDIO_OWNER, NO_VICTIM, SlicedLLC
 
 SEEDS = [3, 17, 2021]
 
@@ -80,6 +80,7 @@ def assert_same_state(scalar, array):
     assert scalar.occupancy_by_owner() == array.occupancy_by_owner()
     assert scalar.valid_lines() == array.valid_lines()
     assert scalar._clock == array._clock
+    assert scalar.stats() == array.stats()
     for row in range(TINY_LLC.total_sets):
         assert scalar._tags[row] == array._tags[row].tolist()
         assert scalar._stamp[row] == array._stamp[row].tolist()
@@ -145,6 +146,141 @@ class TestBatchEquivalence:
             with pytest.raises(ValueError):
                 llc.access_batch(np.zeros(16, dtype=np.int64)
                                  + np.arange(16) * 64, 0)
+
+
+def scalar_outcomes(llc, addrs, mask, *, write, owner):
+    """Per-line reference outcomes as ``BatchOutcome``-shaped lists."""
+    writes = np.broadcast_to(np.asarray(write, dtype=bool), len(addrs))
+    outs = [llc.access(int(a), mask, write=bool(w), owner=owner)
+            for a, w in zip(addrs, writes)]
+    return {"hit": [o.hit for o in outs], "fill": [o.fill for o in outs],
+            "evicted": [o.evicted for o in outs],
+            "writeback": [o.writeback for o in outs],
+            "victim_owner": [NO_VICTIM if o.victim_owner is None
+                             else o.victim_owner for o in outs]}
+
+
+def batch_fields(out):
+    return {name: getattr(out, name).tolist()
+            for name in ("hit", "fill", "evicted", "writeback",
+                         "victim_owner")}
+
+
+class TestAllMissClosedForm:
+    """Batches of distinct lines that all miss under one mask and owner
+    take ``SlicedLLC._apply_all_miss`` (per-set FIFO); everything else
+    falls back to the round/sequential engine.  Both must match the
+    per-line scalar reference on every outcome field and all state."""
+
+    #: 2-, 3-way and full masks; the 2-way mask is non-contiguous.
+    MASKS = [0b10000000100, 0b00000111000, TINY_LLC.full_mask]
+
+    @pytest.fixture
+    def closed_form_calls(self, monkeypatch):
+        calls = []
+        original = SlicedLLC._apply_all_miss
+
+        def spy(self, index, *args):
+            calls.append(index.shape[0])
+            return original(self, index, *args)
+
+        monkeypatch.setattr(SlicedLLC, "_apply_all_miss", spy)
+        return calls
+
+    @staticmethod
+    def prefilled_pair(seed):
+        """Both backends holding the same dirty lines of owner 7 in
+        every way, plus a few invalid cells left by a partial fill."""
+        rng = np.random.default_rng(seed)
+        pair = (SlicedLLC(TINY_LLC, backend="scalar"),
+                SlicedLLC(TINY_LLC, backend="array"))
+        lines = rng.choice(1 << 16, size=TINY_LLC.lines - 300,
+                           replace=False)
+        for llc in pair:
+            for line in lines.tolist():
+                llc.access(line * 64, TINY_LLC.full_mask, write=True,
+                           owner=7)
+        return pair
+
+    @staticmethod
+    def fresh_lines(seed, n):
+        """``n`` distinct lines disjoint from the prefilled range."""
+        rng = np.random.default_rng(seed + 1000)
+        return ((1 << 16) + rng.choice(1 << 20, size=n, replace=False)) * 64
+
+    @pytest.mark.parametrize("mask", MASKS)
+    @pytest.mark.parametrize("write", [False, True, "array"])
+    def test_deep_chains_match_scalar(self, mask, write, closed_form_calls):
+        # 3,000 lines over 256 sets: ~12 accesses per set, far deeper
+        # than any mask, so sets wrap their FIFO several times.
+        scalar, array = self.prefilled_pair(11)
+        addrs = self.fresh_lines(11, 3000)
+        if write == "array":
+            write = np.random.default_rng(5).random(3000) < 0.5
+        expected = scalar_outcomes(scalar, addrs, mask, write=write,
+                                   owner=2)
+        got = array.access_batch(addrs, mask, write=write, owner=2)
+        assert closed_form_calls == [3000]
+        assert batch_fields(got) == expected
+        assert sum(expected["writeback"]) > 0
+        assert 7 in got.victim_owner_counts()
+        assert_same_state(scalar, array)
+
+    def test_ddio_write_batch_takes_closed_form(self, closed_form_calls):
+        scalar, array = self.prefilled_pair(12)
+        addrs = self.fresh_lines(12, 1500)
+        expected = [scalar.ddio_write(int(a), 0b11000000000) for a in addrs]
+        got = array.ddio_write_batch(addrs, 0b11000000000)
+        assert closed_form_calls == [1500]
+        assert [got.outcome_at(i) for i in range(1500)] == expected
+        assert_same_state(scalar, array)
+
+    @pytest.mark.parametrize("close", ["rollback", "commit"])
+    def test_armed_snapshot(self, close, closed_form_calls):
+        scalar, array = self.prefilled_pair(13)
+        before, _ = self.prefilled_pair(13)
+        addrs = self.fresh_lines(13, 2500)
+        write = np.random.default_rng(6).random(2500) < 0.3
+        array.snapshot()
+        expected = scalar_outcomes(scalar, addrs, 0b111, write=write,
+                                   owner=3)
+        got = array.access_batch(addrs, 0b111, write=write, owner=3)
+        assert closed_form_calls == [2500]
+        assert batch_fields(got) == expected
+        assert_same_state(scalar, array)
+        if close == "rollback":
+            array.rollback()
+            assert_same_state(before, array)
+        else:
+            array.commit()
+            assert_same_state(scalar, array)
+        # The restored (or kept) state keeps serving accesses exactly.
+        more = self.fresh_lines(14, 800)
+        ref = scalar if close == "commit" else before
+        expected = scalar_outcomes(ref, more, TINY_LLC.full_mask,
+                                   write=True, owner=4)
+        assert batch_fields(array.access_batch(
+            more, TINY_LLC.full_mask, write=True, owner=4)) == expected
+        assert_same_state(ref, array)
+
+    @pytest.mark.parametrize("fallback", ["repeated", "resident"])
+    def test_fallbacks_match_scalar(self, fallback, closed_form_calls):
+        scalar, array = self.prefilled_pair(15)
+        addrs = self.fresh_lines(15, 2000)
+        if fallback == "repeated":
+            addrs[41] = addrs[40]           # one line twice in a row
+        else:
+            # One pre-resident line, in a way the batch mask (0b111)
+            # cannot evict, so it hits wherever it sits in the batch.
+            row = int(np.flatnonzero(array._tags[:, 10] != -1)[0])
+            addrs[700] = int(array._tags[row, 10]) * 64
+        expected = scalar_outcomes(scalar, addrs, 0b111, write=True,
+                                   owner=2)
+        got = array.access_batch(addrs, 0b111, write=True, owner=2)
+        assert closed_form_calls == []
+        assert batch_fields(got) == expected
+        assert sum(expected["hit"]) == 1
+        assert_same_state(scalar, array)
 
 
 class TestEngineBackendEquivalence:

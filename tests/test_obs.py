@@ -401,6 +401,32 @@ class TestDeterminism:
         assert first == second
 
 
+class TestEngineStatsIsolation:
+    """Engine chunk telemetry is a per-simulation delta of the
+    process-wide ``ENGINE_STATS``; a simulation that runs between
+    another's construction and its run must not leak into it."""
+
+    @staticmethod
+    def build():
+        spec = dataclasses.replace(TINY_PLATFORM, llc_backend="array")
+        return leaky_dma_scenario(packet_size=512, spec=spec)
+
+    @staticmethod
+    def traced_chunks(scen):
+        tracer, ring = make_tracer()
+        with tracing(tracer):
+            scen.sim.run(0.3)
+        return sum(e.args["chunks"] for e in ring.events()
+                   if e.category == "engine" and e.name == "chunks")
+
+    def test_untraced_twin_run_between_does_not_leak(self):
+        alone = self.traced_chunks(self.build())
+        scen = self.build()
+        self.build().sim.run(0.3)       # untraced twin, run in between
+        assert alone > 0
+        assert self.traced_chunks(scen) == alone
+
+
 def make_shard_events(n, wall0=0.0):
     tracer = Tracer(clock=iter(
         wall0 + 0.001 * i for i in range(2 * n + 4)).__next__)
